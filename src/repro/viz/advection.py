@@ -21,7 +21,7 @@ from ..data.mesh import PolyLines
 from ..workload import WorkSegment
 from .base import Filter, OpCounts, segment_from_cost
 from .costs import COSTS
-from .interp import trilinear
+from .interp import TrilinearSampler
 
 __all__ = ["ParticleAdvection", "seed_grid"]
 
@@ -79,44 +79,47 @@ class ParticleAdvection(Filter):
         # on the 128³ reference), matching the study's constant policy.
         h = self.step_length if self.step_length is not None else grid.diagonal / 256.0
 
-        pos = seed_grid(grid.bounds, self.n_seeds)
-        n = pos.shape[0]
-        alive = np.ones(n, dtype=bool)
-        history = [pos.copy()]
-        alive_history = [alive.copy()]
-
-        # Normalize velocity so the step length controls displacement
-        # (streamline geometry, not particle speed, is the output).
-        for _ in range(self.n_steps):
-            if not alive.any():
-                break
-            p = pos[alive]
-            k1, in1 = trilinear(grid, vel, p)
-            k2, in2 = trilinear(grid, vel, p + 0.5 * h * _unit(k1))
-            k3, in3 = trilinear(grid, vel, p + 0.5 * h * _unit(k2))
-            k4, in4 = trilinear(grid, vel, p + h * _unit(k3))
-            counts.add("interp_evals", 4 * p.shape[0])
-            counts.add("steps", p.shape[0])
+        # Particles stay in (3, m) layout.  Each step's k1 is sampled at
+        # the previous step's new positions, and that sample's inside mask
+        # is the liveness test.  Velocity is normalized so the step length
+        # controls displacement (streamline geometry is the output).
+        sample = TrilinearSampler(grid, vel)
+        seeds = seed_grid(grid.bounds, self.n_seeds)
+        history = np.empty((self.n_steps + 1, *seeds.T.shape))
+        p = history[0] = seeds.T
+        lengths = np.empty(len(seeds), dtype=np.int64)  # points per line, set when it ends
+        ids = np.arange(len(seeds))                      # particles still alive
+        k1, inside = sample(p)
+        n_done = 0
+        while n_done < self.n_steps and ids.size:
+            k2, _ = sample(p + 0.5 * h * _unit(k1))
+            k3, _ = sample(p + 0.5 * h * _unit(k2))
+            k4, _ = sample(p + h * _unit(k3))
+            counts.add("interp_evals", 4 * ids.size)
+            counts.add("steps", ids.size)
             step = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            new_p = p + h * _unit(step)
-            still = in1 & grid.contains(new_p)
-            pos = pos.copy()
-            pos[alive] = new_p
-            idx = np.nonzero(alive)[0]
-            alive = alive.copy()
-            alive[idx[~still]] = False
-            history.append(pos.copy())
-            alive_history.append(alive.copy())
-
-        return _build_polylines(history, alive_history)
+            p = p + h * _unit(step)
+            n_done += 1
+            history[n_done][:, ids] = p
+            k1, inside_new = sample(p)
+            still = inside & inside_new
+            if not still.all():
+                lengths[ids[~still]] = n_done
+                ids, p, k1, inside_new = ids[still], p[:, still], k1[:, still], inside_new[still]
+            inside = inside_new
+        lengths[ids] = n_done + 1
+        # Particle-major lines: particle i's first lengths[i] recorded points.
+        keep = np.arange(n_done + 1)[None, :] < lengths[:, None]
+        pts = np.empty((int(lengths.sum()), 3))
+        for c in range(3):
+            pts[:, c] = history[: n_done + 1, c].T[keep]
+        return PolyLines(pts, np.concatenate([[0], np.cumsum(lengths)]))
 
     def _segments(self, dataset: DataSet, counts: OpCounts) -> list[WorkSegment]:
         grid = dataset.grid
         step = COSTS[("advection", "step")]
         steps = counts["steps"]
-        # Footprint: cells visited along trajectories (bounded by the
-        # whole velocity field).  Each step touches ~2 cache lines per
-        # velocity component.
+        # Footprint: cells visited along trajectories, bounded by the field.
         vel_bytes = float(grid.n_points * 8 * 3)
         touched = min(vel_bytes, steps * 64.0)
         return [
@@ -134,22 +137,8 @@ class ParticleAdvection(Filter):
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    """Unit columns of ``v`` (3, m), zero where the norm vanishes.  The left-
+    to-right norm ``(x*x + y*y) + z*z`` is bitwise ``np.linalg.norm``'s."""
+    x, y, z = v
+    norm = np.sqrt((x * x + y * y) + z * z)
     return np.divide(v, norm, out=np.zeros_like(v), where=norm > 1e-300)
-
-
-def _build_polylines(history: list[np.ndarray], alive_history: list[np.ndarray]) -> PolyLines:
-    """Assemble per-particle trajectories into a PolyLines bundle.
-
-    A particle's line covers every recorded position up to (and
-    including) the step at which it died: its length is the number of
-    steps it was alive for (seed included), at least 1.  Assembly is a
-    single boolean compress over the particle-major history.
-    """
-    hist = np.stack(history)            # (steps+1, n, 3)
-    alive = np.stack(alive_history)     # (steps+1, n)
-    lengths = np.maximum(alive.sum(axis=0), 1)             # (n,)
-    keep = np.arange(hist.shape[0])[None, :] < lengths[:, None]   # (n, steps+1)
-    pts = hist.transpose(1, 0, 2)[keep]                    # particle-major compress
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
-    return PolyLines(pts, offsets)

@@ -17,7 +17,7 @@ from ..data.fields import DataSet
 from ..workload import WorkSegment
 from .base import Filter, OpCounts, segment_from_cost
 from .costs import COSTS
-from .interp import trilinear
+from .interp import TrilinearSampler
 from .render import ColorMap, Image, orbit_cameras
 
 __all__ = ["VolumeRenderer"]
@@ -78,17 +78,16 @@ class VolumeRenderer(Filter):
         bounds = grid.bounds
         step = float(min(grid.spacing)) / self.samples_per_cell
         w, h = self.resolution
+        sample = TrilinearSampler(grid, scal)
         images: list[Image] = []
         for cam in orbit_cameras(bounds, self.n_images):
             origins, dirs = cam.rays(w, h)
-            img = self._march(grid, scal, origins, dirs, bounds, step, lo, span, cmap, counts)
+            img = self._march(sample, origins, dirs, bounds, step, lo, span, cmap, counts)
             images.append(Image(img.reshape(h, w, 3)))
         counts.add("rays", self.n_images * w * h)
         return images
 
-    def _march(
-        self, grid, scal, origins, dirs, bounds, step, lo, span, cmap, counts
-    ) -> np.ndarray:
+    def _march(self, sample, origins, dirs, bounds, step, lo, span, cmap, counts) -> np.ndarray:
         n = origins.shape[0]
         # Slab test: entry/exit parameters against the volume AABB.
         with np.errstate(divide="ignore"):
@@ -105,9 +104,9 @@ class VolumeRenderer(Filter):
         # rays and shrink it in place, instead of re-deriving it from a
         # boolean mask with nonzero + scattered fancy indexing each step.
         rows = np.nonzero(t < tfar)[0]
+        origins_soa, dirs_soa = origins.T.copy(), dirs.T.copy()   # (3, n) for the sampler
         while rows.size:
-            pos = origins[rows] + t[rows, None] * dirs[rows]
-            s, _ = trilinear(grid, scal, pos)
+            s, _ = sample(origins_soa[:, rows] + t[rows] * dirs_soa[:, rows])
             counts.add("samples", rows.size)
 
             tn = (s - lo) / span
