@@ -7,8 +7,8 @@ Prices the same measured work profiles on three cap-capable sockets
 manycore) and compares where each algorithm's first slowdown lands.
 """
 
+from repro import api
 from repro.core import classify_result
-from repro.core.runner import StudyRunner
 from repro.core.study import ALGORITHM_NAMES, StudyConfig
 from repro.harness import effective_sizes
 from repro.machine import ALL_PRESETS
@@ -23,8 +23,10 @@ def bench_ablation_architectures(benchmark, harness):
     def sweep():
         out = {}
         for name, spec in ALL_PRESETS.items():
-            runner = StudyRunner(spec)
-            runner._profiles = dict(harness.runner._profiles)
+            # Each socket reprices the harness's cached ledgers.
+            engine = api.sweep_engine(
+                spec=spec, cache=harness.cache_path, n_cycles=harness.n_cycles, workers=0
+            )
             caps = tuple(
                 float(w)
                 for w in range(int(spec.tdp_watts), int(spec.rapl_floor_watts) - 1, -10)
@@ -32,7 +34,7 @@ def bench_ablation_architectures(benchmark, harness):
             cfg = StudyConfig(
                 name=f"arch-{name}", algorithms=ALGORITHM_NAMES, sizes=(size,), caps_w=caps
             )
-            out[name] = (spec, runner.run_config(cfg))
+            out[name] = (spec, engine.run(cfg))
         return out
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -6,13 +6,13 @@ Two properties worth tracking as the grids grow:
   magnitude faster than recomputing the sweep — it is the path every
   regenerated table and figure takes after the first run;
 * the parallel engine must keep producing bitwise-identical points to
-  the serial runner, or cached results silently diverge between hosts.
+  a serial run, or cached results silently diverge between hosts.
 """
 
 import pytest
 
 from repro import api
-from repro.core import StudyConfig, StudyRunner, SweepEngine
+from repro.core import StudyConfig, SweepEngine
 from repro.harness import effective_sizes
 
 
@@ -37,7 +37,7 @@ def bench_sweep_engine_warm_resume(benchmark, tmp_path_factory):
 
 def bench_sweep_engine_parallel_matches_serial(benchmark):
     cfg = _config()
-    serial = StudyRunner(n_cycles=8).run_config(cfg)
+    serial = api.run_study(api.StudyRequest(config=cfg, n_cycles=8))
 
     def parallel():
         return SweepEngine(n_cycles=8, workers=2).run(cfg)

@@ -32,13 +32,13 @@ def main() -> None:
             print(f"  resumed  {event['algorithm']}@{event['size']}^3 from store")
 
     print(f"=== sweep phase2 into {store} ===")
-    result = repro.run_study(
-        "phase2",
+    result = repro.run_study(api.StudyRequest(
+        config="phase2",
         workers=4,
         store=store,
         cache=workdir / "counts.json",
         progress=progress,
-    )
+    ))
     print(f"{len(result.points)} points for {len(result.algorithms)} algorithms")
 
     # A later analysis job needs none of the machinery above — just the file.

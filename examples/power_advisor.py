@@ -10,12 +10,8 @@ Run:  python examples/power_advisor.py          (64^3, fast)
 
 import os
 
-from repro.core import (
-    StudyConfig,
-    StudyRunner,
-    classify_result,
-    recommend_cap,
-)
+from repro import run_study
+from repro.core import StudyConfig, classify_result, recommend_cap
 from repro.core.study import ALGORITHM_NAMES
 
 
@@ -24,9 +20,8 @@ def main() -> None:
     print(f"sweeping 8 algorithms x 9 caps at {size}^3 "
           f"(one real execution per algorithm)...\n")
 
-    runner = StudyRunner()
     cfg = StudyConfig(name="advisor", algorithms=ALGORITHM_NAMES, sizes=(size,))
-    result = runner.run_config(cfg)
+    result = run_study(cfg)
     classes = classify_result(result, size=size)
 
     print(f"{'algorithm':>10} {'class':>18} {'draw':>7} {'IPC':>6} {'miss':>6} "

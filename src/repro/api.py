@@ -4,7 +4,8 @@ Everything a downstream consumer needs, in a handful of calls::
 
     import repro
 
-    result = repro.run_study("phase3", workers=8, store="sweep.jsonl")
+    result = repro.run_study(repro.api.StudyRequest(
+        config="phase3", workers=8, store="sweep.jsonl"))
     repro.api.regenerate_tables(csv_dir="results/")
     later = repro.load_result("sweep.jsonl")
     classes = repro.classify_study(later)
@@ -16,19 +17,22 @@ Everything a downstream consumer needs, in a handful of calls::
 
 The facade hides the moving parts — :class:`~repro.core.engine.SweepEngine`,
 :class:`~repro.core.store.ResultStore`,
-:class:`~repro.harness.TableHarness` — behind a small surface that is
-kept stable across refactors.  Study phases can be named by string
-(``"phase1"``/``"phase2"``/``"phase3"``/``"table1"``/``"table2"``/
-``"table3"``) or passed as explicit
-:class:`~repro.core.study.StudyConfig` grids.  Named phases respect the
-``REPRO_MAX_SIZE`` environment cap; explicit configs are taken verbatim.
+:class:`~repro.harness.TableHarness` — behind a small surface.  There is
+one way to run a study: :func:`run_study` on a phase name, a
+:class:`~repro.core.study.StudyConfig`, or a :class:`StudyRequest` that
+carries every option; :func:`sweep_engine` builds the same engine for
+callers that need it directly (``profile_for``, ``fingerprint``).
+Study phases can be named by string (``"phase1"``/``"phase2"``/
+``"phase3"``/``"table1"``/``"table2"``/``"table3"``) or passed as
+explicit :class:`~repro.core.study.StudyConfig` grids.  Named phases
+respect the ``REPRO_MAX_SIZE`` environment cap; explicit configs are
+taken verbatim.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -175,10 +179,9 @@ def sweep_engine(
 class StudyRequest:
     """Everything :func:`run_study` needs, as one typed value.
 
-    The facade's kwarg list grew one telemetry/robustness feature at a
-    time; this request object consolidates it so call sites can build,
-    store, and pass sweep configurations as data.  Field semantics are
-    unchanged from the historical keywords (see :func:`sweep_engine`).
+    Call sites build, store, and pass sweep configurations as data; the
+    fields mirror :func:`sweep_engine`'s keywords plus ``config`` and
+    ``resume``.
     """
 
     config: StudyConfig | str = "phase2"
@@ -196,17 +199,11 @@ class StudyRequest:
     sample_interval_s: float = 0.1
 
 
-_STUDY_REQUEST_KEYS = frozenset(
-    f.name for f in fields(StudyRequest) if f.name != "config"
-)
-
-
-def run_study(
-    config: StudyRequest | StudyConfig | str = "phase2", **kwargs
-) -> StudyResult:
+def run_study(config: StudyRequest | StudyConfig | str = "phase2") -> StudyResult:
     """Run a study sweep and return its points.
 
-    The typed form takes a single :class:`StudyRequest`::
+    A phase name or :class:`~repro.core.study.StudyConfig` runs with the
+    defaults; every other option travels in a :class:`StudyRequest`::
 
         repro.run_study(StudyRequest(config="phase3", workers=8,
                                      store="sweep.jsonl"))
@@ -218,33 +215,8 @@ def run_study(
     the telemetry layer (:mod:`repro.obs`): spans + events to a trace
     file, and a per-point power/frequency sample stream next to the
     store.
-
-    .. deprecated:: 1.2
-        The grown keyword list (``run_study("phase3", workers=8, ...)``)
-        still works but emits :class:`DeprecationWarning`; pass a
-        :class:`StudyRequest` instead.
     """
-    if isinstance(config, StudyRequest):
-        if kwargs:
-            raise TypeError(
-                "run_study(StudyRequest, ...) takes no extra keywords; "
-                f"got {sorted(kwargs)}"
-            )
-        request = config
-    else:
-        unknown = set(kwargs) - _STUDY_REQUEST_KEYS
-        if unknown:
-            raise TypeError(
-                f"run_study() got unexpected keyword argument(s) {sorted(unknown)}"
-            )
-        if kwargs:
-            warnings.warn(
-                "run_study(config, workers=..., store=..., ...) keywords are "
-                "deprecated; pass a repro.api.StudyRequest instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        request = StudyRequest(config=config, **kwargs)
+    request = config if isinstance(config, StudyRequest) else StudyRequest(config=config)
     engine = sweep_engine(
         workers=request.workers,
         store=request.store,
@@ -747,7 +719,7 @@ def harness(
     store: ResultStore | str | Path | None = None,
     progress=None,
 ) -> TableHarness:
-    """A configured table/figure harness (replaces ``ExperimentHarness(...)``)."""
+    """A configured table/figure harness (:class:`~repro.harness.TableHarness`)."""
     return TableHarness(
         cache, n_cycles=n_cycles, seed=seed, workers=workers, store=store, progress=progress
     )

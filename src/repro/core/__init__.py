@@ -18,17 +18,10 @@ from .benchtrack import (
     trend_rows,
 )
 from .classify import Classification, PowerClass, classify, classify_result
-from .engine import EngineStats, ProfileJob, ShardTask, SweepEngine, SweepError
+from .engine import EngineStats, ProfileJob, SweepEngine, SweepError
 from .metrics import SLOWDOWN_THRESHOLD, Ratios, element_rate, energy_delay_product, first_slowdown_cap
 from .predict import ClassPrediction, predict_class, predicted_cap
-from .profiles import (
-    ProfileCache,
-    merge_shard_ledgers,
-    profile_from_ledger,
-    run_algorithm_ledger,
-    run_algorithm_ledger_shard,
-    supports_sharding,
-)
+from .profiles import ProfileCache, profile_from_ledger, run_algorithm_ledger
 from .report import (
     FigureSeries,
     figure2_series,
@@ -37,7 +30,7 @@ from .report import (
     render_slowdown_table,
     render_table1,
 )
-from .runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult, StudyRunner, make_run_point
+from .runner import DEFAULT_VIZ_CYCLES, RunPoint, StudyResult, make_run_point
 from .store import ResultStore, StoreMismatchError, sweep_fingerprint
 from .validate import PointValidator, ValidationReport, Violation, validate_store
 from .study import (
@@ -63,7 +56,6 @@ __all__ = [
     "POWER_CAPS_W",
     "DATASET_SIZES",
     "ALGORITHM_NAMES",
-    "StudyRunner",
     "StudyResult",
     "RunPoint",
     "make_run_point",
@@ -72,7 +64,6 @@ __all__ = [
     "SweepError",
     "EngineStats",
     "ProfileJob",
-    "ShardTask",
     "ResultStore",
     "StoreMismatchError",
     "sweep_fingerprint",
@@ -83,9 +74,6 @@ __all__ = [
     "ProfileCache",
     "profile_from_ledger",
     "run_algorithm_ledger",
-    "run_algorithm_ledger_shard",
-    "merge_shard_ledgers",
-    "supports_sharding",
     "BenchTracker",
     "time_kernel",
     "SPEEDUP_FLOORS",

@@ -20,8 +20,8 @@ microseconds.  The engine exploits exactly that structure:
 
 Both the serial and the parallel path build profiles from the op-count
 ledger through :func:`~repro.core.profiles.profile_from_ledger`, so the
-engine's points are bitwise identical to the serial
-:class:`~repro.core.runner.StudyRunner`'s regardless of worker count,
+engine's points are bitwise identical to a direct
+``Filter.execute`` → ``Processor.run`` pass regardless of worker count,
 completion order, or how many times the sweep was interrupted.
 
 Two robustness layers guard the pipeline:
@@ -55,14 +55,7 @@ from ..obs.samples import SampleWriter, samples_path_for
 from ..obs.trace import NULL_SPAN, Tracer
 from .atomicio import atomic_write_json
 from .backoff import retry_backoff
-from .profiles import (
-    ProfileCache,
-    merge_shard_ledgers,
-    profile_from_ledger,
-    run_algorithm_ledger,
-    run_algorithm_ledger_shard,
-    supports_sharding,
-)
+from .profiles import ProfileCache, profile_from_ledger, run_algorithm_ledger
 from .runner import DEFAULT_VIZ_CYCLES, StudyResult, make_run_point
 from .store import ResultStore, sweep_fingerprint
 from .study import StudyConfig
@@ -70,13 +63,11 @@ from .validate import PointValidator
 
 __all__ = [
     "ProfileJob",
-    "ShardTask",
     "EngineStats",
     "SweepError",
     "SweepInterrupted",
     "SweepEngine",
     "execute_profile_job",
-    "execute_shard_task",
 ]
 
 
@@ -115,44 +106,12 @@ def execute_profile_job(job: ProfileJob) -> dict[str, float]:
     )
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One k-span of a large profile job: the unit of sharded pool work.
-
-    Profile jobs at or above ``SweepEngine.shard_min_size`` for
-    shard-capable algorithms are split into ``n_shards`` of these — each
-    worker runs :meth:`~repro.viz.base.Filter.apply_shard` over its span
-    and returns a partial ledger; the parent merges the spans in
-    ascending shard order, reproducing the serial ledger bitwise.
-    """
-
-    algorithm: str
-    size: int
-    dataset_kind: str
-    seed: int
-    shard: int
-    n_shards: int
-
-
-def execute_shard_task(task: ShardTask) -> dict[str, float]:
-    """Worker-process body for one shard: partial ledger of its k-span."""
-    return run_algorithm_ledger_shard(
-        task.algorithm,
-        task.size,
-        task.shard,
-        task.n_shards,
-        dataset_kind=task.dataset_kind,
-        seed=task.seed,
-    )
-
-
 @dataclass
 class EngineStats:
     """What one :meth:`SweepEngine.run` actually did."""
 
     profile_jobs_run: int = 0
     profile_jobs_cached: int = 0
-    shard_tasks_run: int = 0
     groups_skipped: int = 0
     points_computed: int = 0
     points_resumed: int = 0
@@ -197,16 +156,6 @@ class SweepEngine:
     chunk_size:
         Scheduling window: at most this many jobs are in flight at once
         (default ``2 * workers``), bounding queue memory for huge grids.
-    shard_min_size:
-        Grid size at or above which a pool-mode profile job for a
-        shard-capable algorithm is split into :class:`ShardTask`s
-        (default 256 — the Table 3 scale, where one execution would
-        otherwise serialize the sweep's tail).  Sharding preserves the
-        ledger bitwise; classification is GIL-bound NumPy, so process
-        shards scale where the threaded backend cannot.
-    job_shards:
-        Shards per split job (default: the pool width).  Clamped to the
-        grid's k-plane count.
     store:
         :class:`ResultStore` or path for streamed, resumable results
         (None = in-memory only).
@@ -267,8 +216,6 @@ class SweepEngine:
         backoff_s: float = 0.05,
         backoff_cap_s: float = 5.0,
         chunk_size: int | None = None,
-        shard_min_size: int = 256,
-        job_shards: int | None = None,
         store: ResultStore | str | os.PathLike | None = None,
         profile_cache: ProfileCache | None = None,
         profile_fn=None,
@@ -297,12 +244,6 @@ class SweepEngine:
             raise ValueError("backoff_cap_s must be positive")
         self.backoff_cap_s = float(backoff_cap_s)
         self.chunk_size = chunk_size
-        if shard_min_size < 1:
-            raise ValueError("shard_min_size must be positive")
-        self.shard_min_size = int(shard_min_size)
-        if job_shards is not None and int(job_shards) < 1:
-            raise ValueError("job_shards must be positive")
-        self.job_shards = None if job_shards is None else int(job_shards)
         self.store = ResultStore(store) if store is not None and not isinstance(store, ResultStore) else store
         self.profile_cache = profile_cache if profile_cache is not None else ProfileCache(None)
         self._profile_fn = profile_fn or execute_profile_job
@@ -393,12 +334,6 @@ class SweepEngine:
         reg.counter(
             "repro_profile_jobs_total", "profile jobs by source", source="ledger-cache"
         ).inc(s.profile_jobs_cached)
-        # Shard tasks are sub-units of "executed" jobs (a merged group
-        # counts once under executed); the sharded label exposes the
-        # fan-out width a sweep actually achieved.
-        reg.counter(
-            "repro_profile_jobs_total", "profile jobs by source", source="sharded"
-        ).inc(s.shard_tasks_run)
         for outcome, n in (
             ("computed", s.points_computed),
             ("resumed", s.points_resumed),
@@ -615,31 +550,11 @@ class SweepEngine:
                 )
 
     # ------------------------------------------------------- job execution
-    def _shards_for(self, job: ProfileJob) -> int:
-        """Pool-mode shard fan-out for one profile job (1 = don't split).
-
-        Only the default job body shards: an injected ``profile_fn`` —
-        the fault-testing hook — must see whole jobs.  Eligible jobs are
-        shard-capable algorithms at ``shard_min_size`` or larger, split
-        ``job_shards`` ways (default: the pool width), never wider than
-        the grid has k-planes.
-        """
-        if self._profile_fn is not execute_profile_job:
-            return 1
-        if job.size < self.shard_min_size or not supports_sharding(job.algorithm):
-            return 1
-        n = self.job_shards if self.job_shards is not None else self.workers
-        return max(1, min(int(n), int(job.size)))
-
     def _execute_jobs(self, jobs: list[ProfileJob], on_done=None) -> None:
         if not jobs:
             return
         remaining = jobs
-        # A single large shardable job still benefits from the pool —
-        # its spans run in parallel worker processes.
-        if self.workers > 1 and (
-            len(jobs) > 1 or any(self._shards_for(j) > 1 for j in jobs)
-        ):
+        if self.workers > 1 and len(jobs) > 1:
             try:
                 self._run_pool(jobs, on_done)
                 return
@@ -669,13 +584,11 @@ class SweepEngine:
             on_done(job.algorithm, job.size)
 
     def _job_body(self, job, attempt: int):
-        """The callable actually executed for one job attempt —
-        the profile fn (or the shard body for a :class:`ShardTask`),
-        wrapped with the fault plan when one is set."""
-        fn = execute_shard_task if isinstance(job, ShardTask) else self._profile_fn
+        """The callable actually executed for one job attempt — the
+        profile fn, wrapped with the fault plan when one is set."""
         if self.faults is None:
-            return fn
-        return self.faults.wrap_job(fn, attempt)
+            return self._profile_fn
+        return self.faults.wrap_job(self._profile_fn, attempt)
 
     def _run_serial(self, jobs: list[ProfileJob], on_done=None) -> None:
         total = len(jobs)
@@ -731,36 +644,14 @@ class SweepEngine:
 
     def _run_pool(self, jobs: list[ProfileJob], on_done=None) -> None:
         window = self.chunk_size or max(2 * self.workers, 4)
-        # Large shardable jobs fan out into one ShardTask per k-span;
-        # their partial ledgers accumulate in shard_groups until every
-        # span has reported, then merge (ascending shard order) into the
-        # group's job ledger.  Everything else stays a whole ProfileJob.
-        pending: deque = deque()
-        shard_groups: dict[tuple[str, int], dict] = {}
-        for job in jobs:
-            n = self._shards_for(job)
-            if n <= 1:
-                pending.append(job)
-                continue
-            shard_groups[(job.algorithm, job.size)] = {
-                "job": job,
-                "n_shards": n,
-                "parts": {},
-                "t0": time.perf_counter(),
-            }
-            pending.extend(
-                ShardTask(job.algorithm, job.size, job.dataset_kind, job.seed, shard, n)
-                for shard in range(n)
-            )
+        pending: deque = deque(jobs)
         attempts: dict = {}
         total = len(jobs)
         in_flight: dict = {}
         try:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 try:
-                    self._pool_loop(
-                        pool, pending, attempts, in_flight, window, total, shard_groups, on_done
-                    )
+                    self._pool_loop(pool, pending, attempts, in_flight, window, total, on_done)
                 except (KeyboardInterrupt, SweepInterrupted):
                     # Graceful interrupt: stop feeding the pool, cancel
                     # whatever has not started, and get out fast — the
@@ -774,37 +665,7 @@ class SweepEngine:
         except (BrokenExecutor, OSError) as exc:
             raise _PoolFailure("process pool unavailable") from exc
 
-    def _absorb_shard(self, task: ShardTask, ledger, dt, shard_groups):
-        """Fold one shard's partial ledger into its group.
-
-        Returns ``None`` while the group is incomplete; once every span
-        has reported, returns ``(job, merged_ledger, group_elapsed_s)``
-        for the normal job-completion path.  Shards merge in ascending
-        span order, so the group ledger equals the serial one bitwise.
-        """
-        self.stats.shard_tasks_run += 1
-        if self.tracer is not None:
-            self.tracer.record_span(
-                "profile-shard",
-                dt,
-                algorithm=task.algorithm,
-                size=task.size,
-                shard=task.shard,
-                n_shards=task.n_shards,
-                mode="pool",
-            )
-        group = shard_groups[(task.algorithm, task.size)]
-        group["parts"][task.shard] = ledger
-        if len(group["parts"]) < group["n_shards"]:
-            return None
-        merged = merge_shard_ledgers(
-            group["parts"][i] for i in range(group["n_shards"])
-        )
-        return group["job"], merged, time.perf_counter() - group["t0"]
-
-    def _pool_loop(
-        self, pool, pending, attempts, in_flight, window, total, shard_groups, on_done
-    ) -> None:
+    def _pool_loop(self, pool, pending, attempts, in_flight, window, total, on_done) -> None:
         completed = 0
         while pending or in_flight:
             self._check_stop()
@@ -851,11 +712,6 @@ class SweepEngine:
                     self._retry_or_raise(job, exc, attempts, pending)
                 else:
                     dt = time.perf_counter() - t0
-                    if isinstance(job, ShardTask):
-                        group_done = self._absorb_shard(job, ledger, dt, shard_groups)
-                        if group_done is None:
-                            continue
-                        job, ledger, dt = group_done
                     completed += 1
                     if self.tracer is not None:
                         # The job ran in a worker process (its kernel
@@ -878,11 +734,8 @@ class SweepEngine:
             )
         attempts[job] = attempts.get(job, 0) + 1
         if attempts[job] > self.max_retries:
-            shard = (
-                f" shard {job.shard}/{job.n_shards}" if isinstance(job, ShardTask) else ""
-            )
             raise SweepError(
-                f"profile job {job.algorithm}@{job.size}{shard} failed "
+                f"profile job {job.algorithm}@{job.size} failed "
                 f"after {attempts[job]} attempts: {exc}"
             ) from exc
         self.stats.retries += 1

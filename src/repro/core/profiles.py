@@ -12,23 +12,16 @@ This module owns that bridge for the whole repo:
 
 * :func:`run_algorithm_ledger` — execute the real algorithm, return its
   ledger (the sweep engine's worker-process job body).
-* :func:`run_algorithm_ledger_shard` — execute one k-span shard of a
-  shardable algorithm (``Filter.apply_shard``), returning the span's
-  partial ledger; :func:`merge_shard_ledgers` sums the spans back into
-  the serial ledger (bitwise, because every entry is an integer-valued
-  float).  Together they are the engine's process-sharded job body.
 * :func:`profile_from_ledger` — ledger → cycle-scaled
   :class:`~repro.workload.WorkProfile`, the single pricing path used by
   the engine, the harness, and the facade.
 * :class:`ProfileCache` — the versioned JSON cache of ledgers shared by
-  the harness and the engine, with one-time migration of the legacy
-  pickle ``counts.pkl`` format.
+  the harness, the engine, and ``scripts/calibrate.py``.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import threading
 from pathlib import Path
 
@@ -41,14 +34,7 @@ from ..viz.base import OpCounts
 from ..workload import WorkProfile
 from .atomicio import atomic_write_json
 
-__all__ = [
-    "ProfileCache",
-    "merge_shard_ledgers",
-    "profile_from_ledger",
-    "run_algorithm_ledger",
-    "run_algorithm_ledger_shard",
-    "supports_sharding",
-]
+__all__ = ["ProfileCache", "profile_from_ledger", "run_algorithm_ledger"]
 
 
 def run_algorithm_ledger(
@@ -64,51 +50,6 @@ def run_algorithm_ledger(
     ds = make_dataset(size, kind=dataset_kind, seed=seed)
     result = ALGORITHMS[algorithm]().execute(ds)
     return result.counts.as_dict()
-
-
-def supports_sharding(algorithm: str) -> bool:
-    """Whether the registry configuration of ``algorithm`` can shard."""
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-    return ALGORITHMS[algorithm]().supports_sharding
-
-
-def run_algorithm_ledger_shard(
-    algorithm: str,
-    size: int,
-    shard: int,
-    n_shards: int,
-    *,
-    dataset_kind: str = "blobs",
-    seed: int = 7,
-) -> dict[str, float]:
-    """Execute one k-span shard; return that span's partial ledger.
-
-    The shard covers cell planes ``shard_spans(nz, n_shards)[shard]``
-    via :meth:`~repro.viz.base.Filter.apply_shard` — ledger only, no
-    geometry — so independent worker processes can each run one span of
-    a large grid and :func:`merge_shard_ledgers` reassembles the exact
-    serial ledger.
-    """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-    ds = make_dataset(size, kind=dataset_kind, seed=seed)
-    counts = OpCounts()
-    ALGORITHMS[algorithm]().apply_shard(ds, counts, shard, n_shards)
-    return counts.as_dict()
-
-
-def merge_shard_ledgers(parts) -> dict[str, float]:
-    """Sum partial shard ledgers (ascending shard order) into one ledger.
-
-    Every ledger entry is an integer-valued float far below 2^53, so the
-    keyed addition reproduces the serial single-pass ledger bitwise.
-    """
-    merged = OpCounts()
-    for part in parts:
-        for key, value in part.items():
-            merged.add(key, value)
-    return merged.as_dict()
 
 
 def profile_from_ledger(
@@ -142,10 +83,7 @@ def profile_from_ledger(
 class ProfileCache:
     """Persistent (algorithm, size) → ledger cache, versioned JSON on disk.
 
-    ``path=None`` keeps the cache in memory only.  A ``.pkl`` path (the
-    legacy pickle format) is transparently redirected to its ``.json``
-    sibling; an existing pickle cache is migrated once on first load and
-    left on disk untouched.
+    ``path=None`` keeps the cache in memory only.
     """
 
     FORMAT = "repro-profile-cache"
@@ -159,15 +97,9 @@ class ProfileCache:
         self.path: Path | None = None
         if path is None:
             return
-        p = Path(path)
-        legacy = p if p.suffix == ".pkl" else p.with_suffix(".pkl")
-        if p.suffix == ".pkl":
-            p = p.with_suffix(".json")
-        self.path = p
-        if p.exists():
-            self._load_json(p)
-        elif legacy.exists():
-            self._migrate_pickle(legacy)
+        self.path = Path(path)
+        if self.path.exists():
+            self._load_json(self.path)
 
     @staticmethod
     def _key(algorithm: str, size: int) -> str:
@@ -179,10 +111,9 @@ class ProfileCache:
         except json.JSONDecodeError as exc:
             # A torn write (crash mid-flush on a pre-atomicio cache, or a
             # tool truncating the file) must not brick the harness — the
-            # cache only memoizes re-runnable work.  Same contract as the
-            # legacy-pickle path: warn, move the damage aside so it is
-            # inspectable instead of silently re-discarded every startup,
-            # and start empty.
+            # cache only memoizes re-runnable work.  Warn, move the damage
+            # aside so it is inspectable instead of silently re-discarded
+            # every startup, and start empty.
             corrupt = p.with_name(p.name + ".corrupt")
             log_event(
                 "profile-cache-corrupt",
@@ -204,36 +135,6 @@ class ProfileCache:
             )
         with self._lock:
             self._entries = {k: dict(v) for k, v in doc["entries"].items()}
-
-    def _migrate_pickle(self, legacy: Path) -> None:
-        try:
-            raw = pickle.loads(legacy.read_bytes())
-            entries = {
-                self._key(alg, size): {k: float(v) for k, v in counts.items()}
-                for (alg, size), counts in raw.items()
-            }
-        except Exception as exc:
-            # A torn or foreign legacy file must not brick the harness —
-            # it is only a cache, so start empty and re-record.  But say
-            # so, and move the unreadable file aside: left in place it
-            # would be re-parsed (and silently re-discarded) on every
-            # startup, hiding the corruption forever.
-            corrupt = legacy.with_name(legacy.name + ".corrupt")
-            log_event(
-                "profile-cache-corrupt",
-                f"legacy profile cache {legacy} is unreadable ({exc!r}); "
-                f"renaming to {corrupt.name} and starting with an empty cache",
-                path=str(legacy),
-                renamed_to=str(corrupt),
-            )
-            try:
-                legacy.replace(corrupt)
-            except OSError:
-                pass  # read-only cache dir: the warning above still fired
-            return
-        with self._lock:
-            self._entries = entries
-        self._save()
 
     def _save(self) -> None:
         if self.path is None:

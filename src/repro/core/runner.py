@@ -1,14 +1,13 @@
-"""Study runner: execute configurations and collect measurements.
+"""Study results: one :class:`RunPoint` per measured configuration.
 
-The runner does what the study's harness did, with the substitutions of
-DESIGN.md §2: for each (algorithm, size) it runs the *real* algorithm
-once against the dataset to obtain its work profile — the profile is
-frequency-independent, so the 9 power caps are then evaluated on the
-simulated socket without re-running the algorithm (exactly the physics:
-capping changes the machine, not the work).
-
-Profiles are cached per (algorithm, size) so Phase 3's 288
-configurations require only 32 real algorithm executions.
+A point is what the study's harness recorded for one (algorithm, size,
+power cap) cell of Tables I–III, with the substitutions of DESIGN.md §2:
+the real algorithm runs once per (algorithm, size) to record its work
+profile, and each cap reprices that profile on the simulated socket
+(capping changes the machine, not the work).  The sweep engine
+(:mod:`repro.core.engine`) does the running; this module holds the
+result types and :func:`make_run_point`, the one place a capped run and
+its TDP baseline become a table cell.
 """
 
 from __future__ import annotations
@@ -18,17 +17,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..data.fields import DataSet
-from ..data.generators import make_dataset
-from ..machine.simulator import Processor, RunResult
-from ..machine.spec import MachineSpec
-from ..viz import ALGORITHMS
-from ..workload import WorkProfile
+from ..machine.simulator import RunResult
 from .atomicio import atomic_write_text
 from .metrics import Ratios
-from .study import StudyConfig
 
-__all__ = ["RunPoint", "StudyResult", "StudyRunner", "make_run_point", "DEFAULT_VIZ_CYCLES"]
+__all__ = ["RunPoint", "StudyResult", "make_run_point", "DEFAULT_VIZ_CYCLES"]
 
 #: Format tag + version of the StudyResult JSON-lines serialization.
 RESULT_FORMAT = "repro-study-result"
@@ -243,9 +236,8 @@ def make_run_point(
 ) -> RunPoint:
     """Assemble one table cell from a capped run and its TDP baseline.
 
-    Shared by the serial :class:`StudyRunner` and the parallel
-    :class:`~repro.core.engine.SweepEngine` so both produce bitwise
-    identical points from the same ``RunResult`` pair.
+    The :class:`~repro.core.engine.SweepEngine` builds every point here;
+    :class:`~repro.core.pricing.BatchRepricer` reproduces it bitwise.
     """
     ratios = Ratios.from_measurements(
         cap_default_w=default_cap,
@@ -267,93 +259,3 @@ def make_run_point(
         llc_miss_rate=run.llc_miss_rate,
         ratios=ratios,
     )
-
-
-class StudyRunner:
-    """Runs study configurations against the simulated socket.
-
-    Parameters
-    ----------
-    spec:
-        Machine to simulate (default: the study's Broadwell socket).
-    dataset_kind:
-        Field generator for the input data (``blobs`` approximates the
-        CloverLeaf energy field's multi-lobed shape; pass ``cloverleaf``
-        datasets directly via :meth:`set_dataset` when exact coupling
-        matters).
-    n_cycles:
-        Visualization cycles aggregated per measurement (the study
-        reports totals over all cycles).
-    """
-
-    def __init__(
-        self,
-        spec: MachineSpec | None = None,
-        *,
-        dataset_kind: str = "blobs",
-        n_cycles: int = DEFAULT_VIZ_CYCLES,
-        seed: int = 7,
-    ):
-        if n_cycles < 1:
-            raise ValueError("n_cycles must be positive")
-        self.processor = Processor(spec) if spec is not None else Processor()
-        self.dataset_kind = dataset_kind
-        self.n_cycles = int(n_cycles)
-        self.seed = seed
-        self._datasets: dict[int, DataSet] = {}
-        self._profiles: dict[tuple[str, int], WorkProfile] = {}
-
-    # ------------------------------------------------------------- datasets
-    def set_dataset(self, size: int, dataset: DataSet) -> None:
-        """Provide an explicit dataset (e.g. a CloverLeaf state) for a size."""
-        self._datasets[size] = dataset
-        # Invalidate cached profiles built from the old dataset.
-        self._profiles = {k: v for k, v in self._profiles.items() if k[1] != size}
-
-    def dataset_for(self, size: int) -> DataSet:
-        if size not in self._datasets:
-            self._datasets[size] = make_dataset(size, kind=self.dataset_kind, seed=self.seed)
-        return self._datasets[size]
-
-    # -------------------------------------------------------------- profiles
-    def profile_for(self, algorithm: str, size: int) -> WorkProfile:
-        """Real-execution work profile, scaled to ``n_cycles`` cycles."""
-        key = (algorithm, size)
-        if key not in self._profiles:
-            if algorithm not in ALGORITHMS:
-                raise KeyError(f"unknown algorithm {algorithm!r}")
-            ds = self.dataset_for(size)
-            result = ALGORITHMS[algorithm]().execute(ds)
-            profile = WorkProfile(
-                name=f"{algorithm}@{size}",
-                n_elements=result.profile.n_elements,
-                metadata=dict(result.profile.metadata, n_cycles=self.n_cycles),
-            )
-            profile.segments = [s.scaled(self.n_cycles) for s in result.profile.segments]
-            self._profiles[key] = profile
-        return self._profiles[key]
-
-    # ----------------------------------------------------------------- sweep
-    def run_config(self, config: StudyConfig) -> StudyResult:
-        """Execute a phase's full factor grid."""
-        result = StudyResult(config_name=config.name)
-        default_cap = config.default_cap_w
-        for algorithm in config.algorithms:
-            for size in config.sizes:
-                profile = self.profile_for(algorithm, size)
-                base = self.processor.run(profile, default_cap)
-                for cap in config.caps_w:
-                    run = base if cap == default_cap else self.processor.run(profile, cap)
-                    result.points.append(self._point(algorithm, size, cap, run, base, default_cap))
-        return result
-
-    def _point(
-        self,
-        algorithm: str,
-        size: int,
-        cap: float,
-        run: RunResult,
-        base: RunResult,
-        default_cap: float,
-    ) -> RunPoint:
-        return make_run_point(algorithm, size, cap, run, base, default_cap)

@@ -12,7 +12,7 @@ from .grid import HEX_CORNER_OFFSETS, UniformGrid, slab_corner_reduce
 from .io import load_dataset, load_obj, save_dataset, save_obj
 from .mc_tables import CUBE_TETS, MAX_TRIS_PER_CELL, McTables, get_tables
 from .mesh import CellSubset, PolyLines, TetMesh, TriangleMesh
-from .tiling import k_slabs, pick_tile_planes, shard_spans
+from .tiling import k_slabs, pick_tile_planes
 
 __all__ = [
     "Association",
@@ -34,7 +34,6 @@ __all__ = [
     "slab_corner_reduce",
     "k_slabs",
     "pick_tile_planes",
-    "shard_spans",
     "save_obj",
     "load_obj",
     "save_dataset",

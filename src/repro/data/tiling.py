@@ -19,12 +19,6 @@ Three knobs pick the tile size, in priority order:
 
 Tiles are always whole k-planes (at least one), so a tile of a
 ``(nx, ny, nz)`` lattice is ``planes * nx * ny`` cells.
-
-:func:`shard_spans` splits the k-axis into near-even contiguous spans —
-the unit of the sharded kernel backend (:mod:`repro.viz.sharding`) and
-of the sweep engine's shard tasks.  Spans are a pure function of
-``(nz, n_shards)``, so every backend decomposes a lattice identically
-and merged results are deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ __all__ = [
     "tile_cells_from_env",
     "pick_tile_planes",
     "k_slabs",
-    "shard_spans",
 ]
 
 #: Target bytes of per-tile working data (field slab plus the per-cell
@@ -114,25 +107,3 @@ def k_slabs(k_lo: int, k_hi: int, planes_per_tile: int) -> Iterator[tuple[int, i
         raise ValueError(f"planes_per_tile must be positive, got {planes_per_tile}")
     for k0 in range(k_lo, k_hi, planes_per_tile):
         yield k0, min(k0 + planes_per_tile, k_hi)
-
-
-def shard_spans(n_planes: int, n_shards: int) -> list[tuple[int, int]]:
-    """Split ``n_planes`` cell planes into ``n_shards`` contiguous spans.
-
-    Spans are near-even (sizes differ by at most one plane), ascending,
-    and exhaustive.  Shards beyond ``n_planes`` collapse to empty spans
-    at the tail so every shard index stays valid — an empty span simply
-    contributes nothing to the merge.
-    """
-    if n_planes < 0:
-        raise ValueError(f"n_planes must be non-negative, got {n_planes}")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    base, extra = divmod(n_planes, n_shards)
-    spans: list[tuple[int, int]] = []
-    k = 0
-    for shard in range(n_shards):
-        size = base + (1 if shard < extra else 0)
-        spans.append((k, k + size))
-        k += size
-    return spans

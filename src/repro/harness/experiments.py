@@ -3,21 +3,17 @@
 The harness is a thin client of the sweep engine
 (:class:`~repro.core.engine.SweepEngine`): each (algorithm, size) pair's
 real execution is recorded once in a versioned JSON ledger cache
-(``.cache/counts.json``; legacy pickle ``counts.pkl`` caches migrate
-automatically) and re-priced thereafter, so regenerating all tables and
-figures after the first run takes seconds.  ``REPRO_MAX_SIZE``
+(``.cache/counts.json``) and re-priced thereafter, so regenerating all
+tables and figures after the first run takes seconds.  ``REPRO_MAX_SIZE``
 (environment) caps the dataset sizes for smoke runs on small machines.
 
-New code should reach the harness through the :mod:`repro.api` facade
-(``repro.api.harness()`` / ``repro.api.run_study()``); constructing
-:class:`ExperimentHarness` directly is deprecated in favor of the
-facade, and kept as a warning shim over :class:`TableHarness`.
+Reach the harness through the :mod:`repro.api` facade
+(``repro.api.harness()`` / ``repro.api.run_study()``).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 
 from ..core.engine import SweepEngine
@@ -34,9 +30,9 @@ from ..core.study import (
 )
 from ..workload import WorkProfile
 
-__all__ = ["TableHarness", "ExperimentHarness", "effective_sizes", "DEFAULT_CACHE_PATH"]
+__all__ = ["TableHarness", "effective_sizes", "DEFAULT_CACHE_PATH"]
 
-#: Default ledger-cache location (JSON; a legacy ``counts.pkl`` migrates).
+#: Default ledger-cache location (versioned JSON).
 DEFAULT_CACHE_PATH = ".cache/counts.json"
 
 
@@ -74,8 +70,7 @@ class TableHarness:
     Parameters
     ----------
     cache_path:
-        Where recorded op ledgers live (None disables persistence;
-        a ``.pkl`` path is migrated to its JSON sibling).
+        Where recorded op ledgers live (None disables persistence).
     n_cycles:
         Visualization cycles aggregated per measurement.
     workers:
@@ -146,20 +141,3 @@ class TableHarness:
         """Figs. 4–6: all algorithms across all four sizes (Phase 3)."""
         cfg = phase3_config(effective_sizes(DATASET_SIZES))
         return self.sweep(cfg)
-
-
-class ExperimentHarness(TableHarness):
-    """Deprecated alias of :class:`TableHarness`.
-
-    Old imports keep working, but new code should use
-    ``repro.api.harness()`` (or :class:`TableHarness` directly).
-    """
-
-    def __init__(self, *args, **kwargs):
-        warnings.warn(
-            "constructing ExperimentHarness directly is deprecated; "
-            "use repro.api.harness() or repro.api.run_study() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

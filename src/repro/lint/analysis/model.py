@@ -13,8 +13,8 @@ from *other* files:
 * :class:`FunctionInfo` / :class:`ClassInfo` / :class:`ModuleInfo` —
   the per-module symbol table, including inferred attribute types and
   the set of mutable container attributes.
-* :class:`SpawnSite` / :class:`ThreadRoot` — where threads, pool
-  callbacks and sharded span runners are launched, and what runs there.
+* :class:`SpawnSite` / :class:`ThreadRoot` — where threads and pool
+  callbacks are launched, and what runs there.
 
 Lock names are canonicalised so the same lock observed from different
 syntactic positions compares equal: ``self._lock`` inside class ``C``
@@ -101,12 +101,11 @@ class CallSite:
 
 @dataclass(frozen=True)
 class SpawnSite:
-    """A thread/pool/span launch observed inside a function.
+    """A thread/pool launch observed inside a function.
 
-    ``kind`` is ``"thread"`` (``threading.Thread(target=...)``),
-    ``"pool"`` (``executor.submit(fn, ...)``) or ``"shard-span"``
-    (``run_spans(fn, ...)``).  ``target`` is None when the callable
-    argument was not a resolvable name/method reference.  ``in_loop``
+    ``kind`` is ``"thread"`` (``threading.Thread(target=...)``) or
+    ``"pool"`` (``executor.submit(fn, ...)``).  ``target`` is None when
+    the callable argument was not a resolvable name/method reference.  ``in_loop``
     is True when the launch sits inside a loop or comprehension, i.e.
     several instances of the target may run concurrently.
     """
@@ -181,17 +180,16 @@ class ModuleInfo:
 
 @dataclass(frozen=True)
 class ThreadRoot:
-    """A function that runs on its own thread (or pool/span worker).
+    """A function that runs on its own thread (or pool worker).
 
     ``multi`` is True when more than one concurrent instance of the
-    root can exist: pool callbacks and span runners always, plain
-    ``Thread`` targets when the spawn site sits inside a loop or
-    comprehension.  Functions that *launch* concurrency are roots too
+    root can exist: pool callbacks always, plain ``Thread`` targets
+    when the spawn site sits inside a loop or comprehension.  Functions that *launch* concurrency are roots too
     (kind ``"spawner"``) — they keep running alongside their children —
     but are always single-instance.
     """
 
     function: str  # qualname of the root function
-    kind: str  # "thread" | "pool" | "shard-span" | "spawner"
+    kind: str  # "thread" | "pool" | "spawner"
     spawned_at: str  # "path:line" of the spawn site
     multi: bool

@@ -511,20 +511,6 @@ class _FunctionScanner:
             if node.args:
                 kind = "pool"
                 target_expr = node.args[0]
-        elif callee.name == "run_spans":
-            dotted = (
-                self.scope.mod.imports.get(callee.name)
-                if callee.kind == "name"
-                else f"{callee.receiver}.run_spans"
-                if callee.kind == "module"
-                else None
-            )
-            if callee.kind in {"name", "module"} and (
-                dotted is None or dotted.endswith("run_spans") or dotted.endswith("sharding")
-            ):
-                if node.args:
-                    kind = "shard-span"
-                    target_expr = node.args[0]
         if kind is None:
             return
         target: Callee | None = None

@@ -9,7 +9,6 @@ part inside the sphere removed.  The implicit keep-function is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,21 +37,24 @@ class ClipOutput:
 
 
 def _kept_cell_values(
-    state: SimpleNamespace, k0: int, k1: int, kept_local: np.ndarray
+    cells: np.ndarray | None,
+    point_lat: np.ndarray | None,
+    plane_cells: int,
+    k0: int,
+    k1: int,
+    kept_local: np.ndarray,
 ) -> np.ndarray:
-    """Cell scalars for kept cells of slab ``[k0, k1)``.
+    """Cell values for kept cells of slab ``[k0, k1)``.
 
-    Point fields are recentered per slab in the exact corner order of a
-    full-lattice recenter (bitwise identical to ``cell_field()`` +
-    gather); native cell fields are sliced directly; vector fields fall
-    back to the dense gather precomputed in the state.
+    ``cells`` (one row per cell) is sliced directly when given; it holds
+    a native cell field, or the dense ``cell_field()`` gather of a
+    vector field.  Otherwise the point lattice ``point_lat`` is
+    recentered per slab in the exact corner order of a full-lattice
+    recenter (bitwise identical to ``cell_field()`` + gather).
     """
-    if state.cell_lat is not None:
-        return state.cell_lat[k0:k1].reshape(-1)[kept_local]
-    if state.point_lat is not None:
-        return recenter_slab_to_cells(state.point_lat[k0 : k1 + 1])[kept_local]
-    nx, ny, _ = state.grid.cell_dims
-    return state.cell_scal_dense[kept_local + k0 * ny * nx]
+    if cells is not None:
+        return cells[k0 * plane_cells : k1 * plane_cells][kept_local]
+    return recenter_slab_to_cells(point_lat[k0 : k1 + 1])[kept_local]
 
 
 class SphericalClip(Filter):
@@ -88,17 +90,10 @@ class SphericalClip(Filter):
             "radius": self.radius,
         }
 
-    supports_sharding = True
-
     def _apply(self, dataset: DataSet, counts: OpCounts) -> ClipOutput:
-        state = self._shard_state(dataset)
-        payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
-
-    def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
         center = np.asarray(self.center if self.center is not None else grid.center)
-        radius = self.radius if self.radius is not None else grid.diagonal / 3.0
+        radius = float(self.radius if self.radius is not None else grid.diagonal / 3.0)
 
         nx, ny, nz = grid.cell_dims
         px, py, pz = grid.point_dims
@@ -114,48 +109,34 @@ class SphericalClip(Filter):
         dx = (ox + np.arange(px, dtype=np.int64) * sx) - center[0]
         dy = (oy + np.arange(py, dtype=np.int64) * sy) - center[1]
         dz = (oz + np.arange(pz, dtype=np.int64) * sz) - center[2]
+        xy2 = (dx * dx)[None, :] + (dy * dy)[:, None]  # (py, px)
+        dz2 = dz * dz                                  # (pz,)
         scalars = dataset.point_field(self.field).values
         field = dataset.field(self.field)
-        return SimpleNamespace(
-            grid=grid,
-            radius=float(radius),
-            xy2=(dx * dx)[None, :] + (dy * dy)[:, None],  # (py, px)
-            dz2=dz * dz,                                  # (pz,)
-            s_flat=scalars if scalars.ndim == 1 else None,
-            cell_lat=(
-                field.values.reshape(nz, ny, nx)
-                if field.association is Association.CELL and not field.is_vector
-                else None
-            ),
-            point_lat=(
-                scalars.reshape(nz + 1, ny + 1, nx + 1) if scalars.ndim == 1 else None
-            ),
+        s_flat = scalars if scalars.ndim == 1 else None
+        if field.association is Association.CELL and not field.is_vector:
+            cells = field.values
+        elif scalars.ndim != 1:
             # Vector fields have no slab recenter; keep parity with the
             # dense cell_field() gather instead (rare, never hot).
-            cell_scal_dense=(
-                dataset.cell_field(self.field).values if scalars.ndim != 1 else None
-            ),
-            tile=pick_tile_planes(
-                nx * ny, CLIP_TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
-            ),
+            cells = dataset.cell_field(self.field).values
+        else:
+            cells = None
+        point_lat = scalars.reshape(pz, py, px) if scalars.ndim == 1 else None
+        tile = pick_tile_planes(
+            nx * ny, CLIP_TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
         )
 
-    def _apply_span(
-        self, state: SimpleNamespace, counts: OpCounts, k_lo: int, k_hi: int
-    ) -> SimpleNamespace:
-        grid = state.grid
-        nx, ny, nz = grid.cell_dims
-        px, py = nx + 1, ny + 1
         kept_chunks: list[np.ndarray] = []
         kept_val_chunks: list[np.ndarray] = []
         pts_chunks: list[np.ndarray] = []
         val_chunks: list[np.ndarray] = []
         n_straddle = 0
         n_tets_cut = 0
-        for k0, k1 in k_slabs(k_lo, k_hi, state.tile):
+        for k0, k1 in k_slabs(0, nz, tile):
             kz = k1 - k0
-            g_slab = np.sqrt(state.xy2[None, :, :] + state.dz2[k0 : k1 + 1, None, None])
-            g_slab -= state.radius
+            g_slab = np.sqrt(xy2[None, :, :] + dz2[k0 : k1 + 1, None, None])
+            g_slab -= radius
             n_in = classify_slab(g_slab)
             kept_local = np.nonzero(n_in == 8)[0]
             straddle_local = np.nonzero((n_in > 0) & (n_in < 8))[0]
@@ -163,18 +144,16 @@ class SphericalClip(Filter):
             n_straddle += straddle_local.size
             if kept_local.size:
                 kept_chunks.append(kept_local + cell_base)
-                kept_val_chunks.append(_kept_cell_values(state, k0, k1, kept_local))
+                kept_val_chunks.append(
+                    _kept_cell_values(cells, point_lat, nx * ny, k0, k1, kept_local)
+                )
             if straddle_local.size:
                 base_l, strides = corner_gather((nx, ny, kz))
                 for start in range(0, straddle_local.size, self.chunk_cells):
                     loc = straddle_local[start : start + self.chunk_cells]
                     lpids = base_l[loc][:, None] + strides[None, :]
                     gv = g_slab.reshape(-1)[lpids]
-                    sv = (
-                        state.s_flat[lpids + k0 * px * py]
-                        if state.s_flat is not None
-                        else gv
-                    )
+                    sv = s_flat[lpids + k0 * px * py] if s_flat is not None else gv
                     pts, vals, n_out = cut_cell_batch(
                         grid, loc + cell_base, gv, sv, self.keep_output
                     )
@@ -182,39 +161,18 @@ class SphericalClip(Filter):
                     if self.keep_output and pts is not None:
                         pts_chunks.append(pts)
                         val_chunks.append(vals)
-        # Shard point ownership: planes [k_lo, k_hi), plus the last
-        # lattice plane for the span that ends the grid — spans sum to
-        # exactly n_points.
-        planes = (k_hi - k_lo) + (1 if k_hi == nz else 0)
-        counts.add("points_evaluated", planes * px * py)
-        counts.add("cells_classified", (k_hi - k_lo) * ny * nx)
+        counts.add("points_evaluated", grid.n_points)
+        counts.add("cells_classified", grid.n_cells)
         counts.add("cells_kept_whole", sum(c.size for c in kept_chunks))
         counts.add("cells_straddling", n_straddle)
         counts.add("tets_cut", n_straddle * 6)
         counts.add("tets_emitted", n_tets_cut)
-        return SimpleNamespace(
-            kept=kept_chunks,
-            kept_vals=kept_val_chunks,
-            pts=pts_chunks,
-            vals=val_chunks,
-        )
 
-    def _finish(
-        self, state: SimpleNamespace, counts: OpCounts, payloads: list[SimpleNamespace]
-    ) -> ClipOutput:
-        kept_chunks = [c for p in payloads for c in p.kept]
-        kept_vals = [c for p in payloads for c in p.kept_vals]
         kept_ids = (
             np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
         )
-        kept_scal = np.concatenate(kept_vals) if kept_vals else np.empty(0)
-        cut = (
-            _assemble_tets(
-                [c for p in payloads for c in p.pts], [c for p in payloads for c in p.vals]
-            )
-            if self.keep_output
-            else TetMesh.empty()
-        )
+        kept_scal = np.concatenate(kept_val_chunks) if kept_val_chunks else np.empty(0)
+        cut = _assemble_tets(pts_chunks, val_chunks) if self.keep_output else TetMesh.empty()
         return ClipOutput(kept=CellSubset(kept_ids, kept_scal), cut=cut)
 
     def _segments(self, dataset: DataSet, counts: OpCounts) -> list[WorkSegment]:

@@ -15,8 +15,6 @@ unculled two-phase pass (see ``docs/performance.md``).
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from ..data.fields import DataSet
@@ -94,14 +92,7 @@ class Contour(Filter):
         }
 
     # ------------------------------------------------------------------ run
-    supports_sharding = True
-
     def _apply(self, dataset: DataSet, counts: OpCounts) -> TriangleMesh:
-        state = self._shard_state(dataset)
-        payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
-
-    def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
         scalars = dataset.point_field(self.field).values
         if scalars.ndim != 1:
@@ -112,28 +103,19 @@ class Contour(Filter):
             isovalues = default_isovalues(lo, hi, self.n_isovalues)
 
         nx, ny, nz = grid.cell_dims
+        px, py = nx + 1, ny + 1
+        lat = scalars.reshape(nz + 1, py, px)
         tables = get_tables()
+        # Triangles per MC case — the counting fast path tallies these
+        # instead of generating-then-discarding geometry.
+        tri_counts = np.count_nonzero(tables.tri_edges[:, :, 0] >= 0, axis=1)
         spacing = np.asarray(grid.spacing)
-        return SimpleNamespace(
-            grid=grid,
-            scalars=scalars,
-            lat=scalars.reshape(nz + 1, ny + 1, nx + 1),
-            isovalues=isovalues,
-            tables=tables,
-            # Triangles per MC case — the counting fast path tallies
-            # these instead of generating-then-discarding geometry.
-            tri_counts=np.count_nonzero(tables.tri_edges[:, :, 0] >= 0, axis=1),
-            spacing=spacing,
-            origin=np.asarray(grid.origin),
-            corner_off=HEX_CORNER_OFFSETS.astype(np.float64) * spacing,
-            tile=pick_tile_planes(
-                nx * ny, _TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
-            ),
+        origin = np.asarray(grid.origin)
+        corner_off = HEX_CORNER_OFFSETS.astype(np.float64) * spacing
+        tile = pick_tile_planes(
+            nx * ny, _TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
         )
 
-    def _apply_span(
-        self, state: SimpleNamespace, counts: OpCounts, k_lo: int, k_hi: int
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         # Interval culling, tiled: per-cell corner min/max computed per
         # cache-sized k-slab as shifted-lattice reductions (no (n, 8)
         # gather), every isovalue tested while the slab's intervals are
@@ -142,52 +124,38 @@ class Contour(Filter):
         # <= iso — exactly (cmin <= iso) & (cmax > iso) — so the active
         # set (and the ledger) is unchanged; only straddled cells reach
         # the 8-corner case classification and the generate gather.
-        grid = state.grid
-        nx, ny, _ = grid.cell_dims
-        px, py = nx + 1, ny + 1
         pts_chunks: list[np.ndarray] = []
         val_chunks: list[np.ndarray] = []
-        for k0, k1 in k_slabs(k_lo, k_hi, state.tile):
+        for k0, k1 in k_slabs(0, nz, tile):
             kz = k1 - k0
-            slab = state.lat[k0 : k1 + 1]
+            slab = lat[k0 : k1 + 1]
             cmin = slab_corner_reduce(slab, np.minimum)
             cmax = slab_corner_reduce(slab, np.maximum)
             slab_cells = kz * ny * nx
             cell_base = k0 * ny * nx
             base_l, strides = corner_gather((nx, ny, kz))
             point_base = k0 * px * py
-            for iso in state.isovalues:
+            for iso in isovalues:
                 counts.add("cells_classified", slab_cells)
                 active = np.nonzero((cmin <= iso) & (cmax > iso))[0]
                 counts.add("active_cells", active.size)
                 if active.size == 0:
                     continue
                 pids = (base_l[active] + point_base)[:, None] + strides[None, :]
-                active_vals = state.scalars[pids]
+                active_vals = scalars[pids]
                 cases = (active_vals > iso) @ _CASE_WEIGHTS
                 if self.keep_output:
                     i, j, k = grid.cell_ijk(active + cell_base)
-                    origins = np.stack([i, j, k], axis=1) * state.spacing + state.origin
-                    pts, vals = _generate(
-                        state.tables, cases, active_vals, origins, state.corner_off, iso
-                    )
+                    origins = np.stack([i, j, k], axis=1) * spacing + origin
+                    pts, vals = _generate(tables, cases, active_vals, origins, corner_off, iso)
                     counts.add("triangles", pts.shape[0] // 3)
                     pts_chunks.append(pts)
                     val_chunks.append(vals)
                 else:
                     # Same triangle total the generate pass would emit,
                     # without materializing (then dropping) the geometry.
-                    counts.add("triangles", int(state.tri_counts[cases].sum()))
-        return pts_chunks, val_chunks
+                    counts.add("triangles", int(tri_counts[cases].sum()))
 
-    def _finish(
-        self,
-        state: SimpleNamespace,
-        counts: OpCounts,
-        payloads: list[tuple[list[np.ndarray], list[np.ndarray]]],
-    ) -> TriangleMesh:
-        pts_chunks = [c for pts, _ in payloads for c in pts]
-        val_chunks = [c for _, vals in payloads for c in vals]
         if not pts_chunks:
             return TriangleMesh.empty()
         points = np.vstack(pts_chunks)

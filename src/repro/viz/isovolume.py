@@ -13,7 +13,6 @@ highest LLC miss rate in the study (Fig. 2c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,14 +74,7 @@ class Isovolume(Filter):
     def describe(self) -> dict:
         return {"name": self.name, "field": self.field, "lo": self.lo, "hi": self.hi}
 
-    supports_sharding = True
-
     def _apply(self, dataset: DataSet, counts: OpCounts) -> IsovolumeOutput:
-        state = self._shard_state(dataset)
-        payload = self._apply_span(state, counts, 0, dataset.grid.cell_dims[2])
-        return self._finish(state, counts, [payload])
-
-    def _shard_state(self, dataset: DataSet) -> SimpleNamespace:
         grid = dataset.grid
         s = dataset.point_field(self.field).values
         if s.ndim != 1:
@@ -94,28 +86,13 @@ class Isovolume(Filter):
             raise ValueError(f"lo ({lo}) must not exceed hi ({hi})")
 
         nx, ny, nz = grid.cell_dims
+        lat = s.reshape(nz + 1, ny + 1, nx + 1)
         field = dataset.field(self.field)
-        return SimpleNamespace(
-            grid=grid,
-            s=s,
-            lat=s.reshape(nz + 1, ny + 1, nx + 1),
-            lo=lo,
-            hi=hi,
-            cell_lat=(
-                field.values.reshape(nz, ny, nx)
-                if field.association is Association.CELL
-                else None
-            ),
-            point_lat=s.reshape(nz + 1, ny + 1, nx + 1),
-            cell_scal_dense=None,
-            tile=pick_tile_planes(
-                nx * ny, _TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
-            ),
+        cells = field.values if field.association is Association.CELL else None
+        tile = pick_tile_planes(
+            nx * ny, _TILE_BYTES_PER_CELL, n_planes=nz, ceiling_cells=self.chunk_cells
         )
 
-    def _apply_span(
-        self, state: SimpleNamespace, counts: OpCounts, k_lo: int, k_hi: int
-    ) -> SimpleNamespace:
         # Fused two-sided classification: one sweep over the scalar slab
         # computes both boundary sign counts (s >= lo and s <= hi — the
         # same sign tests the sequential s-lo / hi-s formulation makes),
@@ -124,10 +101,6 @@ class Isovolume(Filter):
         # are cut against g = s - lo; survivors of pass 1 splitting at
         # the hi boundary are cut against g = hi - s — exactly VTK's
         # composed one-sided clips, with identical counts per pass.
-        grid = state.grid
-        lo, hi = state.lo, state.hi
-        nx, ny, _ = grid.cell_dims
-        px, py = nx + 1, ny + 1
         kept2_chunks: list[np.ndarray] = []
         kept2_val_chunks: list[np.ndarray] = []
         pts1_chunks: list[np.ndarray] = []
@@ -139,9 +112,9 @@ class Isovolume(Filter):
         n_kept1 = 0
         n_tets_cut1 = 0
         n_tets_cut2 = 0
-        for k0, k1 in k_slabs(k_lo, k_hi, state.tile):
+        for k0, k1 in k_slabs(0, nz, tile):
             kz = k1 - k0
-            slab = state.lat[k0 : k1 + 1]
+            slab = lat[k0 : k1 + 1]
             n_lo = slab_corner_reduce((slab >= lo).view(np.uint8), np.add)
             n_hi = slab_corner_reduce((slab <= hi).view(np.uint8), np.add)
             kept1_local = np.nonzero(n_lo == 8)[0]
@@ -155,7 +128,9 @@ class Isovolume(Filter):
             n_straddle2 += straddle2_local.size
             if kept2_local.size:
                 kept2_chunks.append(kept2_local + cell_base)
-                kept2_val_chunks.append(_kept_cell_values(state, k0, k1, kept2_local))
+                kept2_val_chunks.append(
+                    _kept_cell_values(cells, lat, nx * ny, k0, k1, kept2_local)
+                )
             base_l, strides = corner_gather((nx, ny, kz))
             s_slab_flat = slab.reshape(-1)
             for boundary_local, sign, pts_chunks, val_chunks in (
@@ -179,67 +154,35 @@ class Isovolume(Filter):
                     if self.keep_output and pts is not None:
                         pts_chunks.append(pts)
                         val_chunks.append(vals)
-        counts.add("cells_classified", (k_hi - k_lo) * ny * nx)
+        counts.add("cells_classified", grid.n_cells)
         counts.add("tets_cut", n_straddle1 * 6)
         counts.add("cells_classified", n_kept1)
         counts.add("tets_cut", n_straddle2 * 6)
         counts.add("cells_kept_whole", sum(c.size for c in kept2_chunks))
         counts.add("tets_emitted", n_tets_cut1 + n_tets_cut2)
-        return SimpleNamespace(
-            kept=kept2_chunks,
-            kept_vals=kept2_val_chunks,
-            pts1=pts1_chunks,
-            vals1=val1_chunks,
-            pts2=pts2_chunks,
-            vals2=val2_chunks,
-        )
 
-    def _finish(
-        self, state: SimpleNamespace, counts: OpCounts, payloads: list[SimpleNamespace]
-    ) -> IsovolumeOutput:
-        kept_chunks = [c for p in payloads for c in p.kept]
         kept_ids = (
-            np.concatenate(kept_chunks) if kept_chunks else np.empty(0, dtype=np.int64)
+            np.concatenate(kept2_chunks) if kept2_chunks else np.empty(0, dtype=np.int64)
         )
-        kept_vals = [c for p in payloads for c in p.kept_vals]
-        kept_scal = np.concatenate(kept_vals) if kept_vals else np.empty(0)
+        kept_scal = np.concatenate(kept2_val_chunks) if kept2_val_chunks else np.empty(0)
 
         # Pass 2b: pass-1 cut tets clipped against scalar <= hi.  Only
         # reachable with keep_output=True (the counting configuration
         # never materializes the pass-1 soup, matching the sequential
         # formulation where an empty r1.cut skips the soup clip and its
         # ledger contribution).
-        cut1 = _assemble_tets(
-            [c for p in payloads for c in p.pts1], [c for p in payloads for c in p.vals1]
-        )
+        cut1 = _assemble_tets(pts1_chunks, val1_chunks)
         if cut1.n_tets:
-            g2 = state.hi - np.asarray(cut1.scalars)
+            g2 = hi - np.asarray(cut1.scalars)
             cut1b, straddling = clip_tet_soup(cut1, g2, keep_output=self.keep_output)
             counts.add("tets_cut", straddling)
             counts.add("tets_emitted", cut1b.n_tets)
         else:
             cut1b = TetMesh.empty()
 
-        cut2 = (
-            _assemble_tets(
-                [c for p in payloads for c in p.pts2],
-                [c for p in payloads for c in p.vals2],
-            )
-            if self.keep_output
-            else TetMesh.empty()
-        )
+        cut2 = _assemble_tets(pts2_chunks, val2_chunks) if self.keep_output else TetMesh.empty()
         cut = cut2.merged_with(cut1b) if cut1b.n_tets else cut2
         return IsovolumeOutput(kept=CellSubset(kept_ids, kept_scal), cut=cut)
-
-    def apply_shard(
-        self, dataset: DataSet, counts: OpCounts, shard: int, n_shards: int
-    ) -> None:
-        if self.keep_output:
-            # Pass 2b's ledger contribution lives in _finish and needs
-            # the merged pass-1 soup; shard ledgers are only exact for
-            # the counting configuration the engine profiles with.
-            raise ValueError("isovolume shard ledgers require keep_output=False")
-        super().apply_shard(dataset, counts, shard, n_shards)
 
     def _segments(self, dataset: DataSet, counts: OpCounts) -> list[WorkSegment]:
         grid = dataset.grid

@@ -7,11 +7,12 @@ from repro.core import (
     ResultStore,
     StoreMismatchError,
     StudyConfig,
-    StudyRunner,
     SweepEngine,
     SweepError,
 )
 from repro.core.engine import execute_profile_job
+
+from .oracle import direct_study
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
 
@@ -47,12 +48,12 @@ class _FlakyJob:
 
 class TestSerialEquivalence:
     def test_serial_engine_matches_runner_bitwise(self):
-        serial = StudyRunner(n_cycles=2).run_config(CFG)
+        serial = direct_study(CFG, n_cycles=2)
         engine = SweepEngine(n_cycles=2, workers=0)
         _assert_identical(serial, engine.run(CFG))
 
     def test_parallel_engine_matches_runner_bitwise(self):
-        serial = StudyRunner(n_cycles=2).run_config(CFG)
+        serial = direct_study(CFG, n_cycles=2)
         engine = SweepEngine(n_cycles=2, workers=2)
         _assert_identical(serial, engine.run(CFG))
         assert engine.stats.profile_jobs_run == 2
@@ -94,7 +95,7 @@ class TestResume:
         extended = engine.run(CFG)
         assert counter2.calls == [("clip", 12)]  # threshold group not re-run
         assert engine.stats.groups_skipped == 1
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), extended)
+        _assert_identical(direct_study(CFG, n_cycles=2), extended)
 
     def test_interrupted_sweep_resumes_only_missing(self, tmp_path):
         """Kill mid-sweep (job 2 explodes), rerun, count executed jobs."""
@@ -116,7 +117,7 @@ class TestResume:
         engine = SweepEngine(n_cycles=2, workers=0, store=store_path, profile_fn=counter)
         resumed = engine.run(CFG)
         assert counter.calls == [("clip", 12)]  # only the missing group
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), resumed)
+        _assert_identical(direct_study(CFG, n_cycles=2), resumed)
 
     def test_no_resume_wipes_store(self, tmp_path):
         store_path = tmp_path / "s.jsonl"
@@ -145,7 +146,7 @@ class TestFailureHandling:
         result = engine.run(one)
         assert len(result.points) == 9
         assert engine.stats.retries == 2
-        _assert_identical(StudyRunner(n_cycles=2).run_config(one), result)
+        _assert_identical(direct_study(one, n_cycles=2), result)
 
     def test_retry_budget_exhausted_raises(self):
         flaky = _FlakyJob(failures=10)
@@ -162,7 +163,7 @@ class TestFailureHandling:
         )
         result = engine.run(CFG)
         assert engine.stats.fell_back_serial
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_identical(direct_study(CFG, n_cycles=2), result)
 
 
 class TestProgressAndStats:

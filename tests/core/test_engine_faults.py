@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig, StudyRunner, SweepEngine, SweepError
+from repro.core import ResultStore, StudyConfig, SweepEngine, SweepError
 from repro.core.engine import execute_profile_job
 from repro.faults import FaultPlan
+
+from .oracle import direct_study
 
 CFG = StudyConfig(name="t", algorithms=("threshold", "clip"), sizes=(12,))
 ONE = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
@@ -34,7 +36,7 @@ class TestInjectedCrashes:
         result = engine.run(ONE)
         assert engine.stats.faults_injected == 1
         assert engine.stats.retries == 1
-        _assert_identical(StudyRunner(n_cycles=2).run_config(ONE), result)
+        _assert_identical(direct_study(ONE, n_cycles=2), result)
 
     def test_pool_crash_retried_to_completion(self):
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=1)
@@ -44,7 +46,7 @@ class TestInjectedCrashes:
         result = engine.run(CFG)
         assert engine.stats.faults_injected == 2  # one per profile job
         assert not engine.stats.fell_back_serial
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_identical(direct_study(CFG, n_cycles=2), result)
 
     def test_crash_budget_deeper_than_retries_aborts(self):
         plan = FaultPlan(seed=5, worker_crash_p=1.0, max_faults_per_job=5)
@@ -73,7 +75,7 @@ class TestInjectedHangs:
         )
         result = engine.run(CFG)
         assert engine.stats.retries >= 1  # at least one job timed out
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), result)
+        _assert_identical(direct_study(CFG, n_cycles=2), result)
 
 
 class TestSerialFallback:
@@ -116,7 +118,7 @@ class TestQuarantineGate:
         assert not qkeys & {p.key for p in result.points}
         assert all(reasons for _, reasons in quarantined)
         # Survivors are bitwise identical to a fault-free sweep.
-        clean = {p.key: p.to_dict() for p in StudyRunner(n_cycles=2).run_config(ONE).points}
+        clean = {p.key: p.to_dict() for p in direct_study(ONE, n_cycles=2).points}
         assert all(p.to_dict() == clean[p.key] for p in result.points)
         kinds = [e["kind"] for e in events]
         assert kinds.count("point-quarantined") == engine.stats.points_quarantined
@@ -156,7 +158,7 @@ class TestKeyboardInterrupt:
         resumed = resume.run(CFG)
         assert resume.stats.points_resumed == len(saved)
         assert not resume.stats.interrupted
-        _assert_identical(StudyRunner(n_cycles=2).run_config(CFG), resumed)
+        _assert_identical(direct_study(CFG, n_cycles=2), resumed)
 
     def test_serial_interrupt_marks_stats_and_syncs(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import api
 from repro.core import (
     PowerClass,
     StudyConfig,
-    StudyRunner,
     classify_result,
     predict_class,
     predicted_cap,
@@ -17,11 +17,11 @@ SIZE = 32
 
 @pytest.fixture(scope="module")
 def sweep_and_runs():
-    runner = StudyRunner()
+    engine = api.sweep_engine(workers=0)
     cfg = StudyConfig(name="pred", algorithms=ALGORITHM_NAMES, sizes=(SIZE,))
-    result = runner.run_config(cfg)
+    result = engine.run(cfg)
     tdp_runs = {
-        alg: runner.processor.run(runner.profile_for(alg, SIZE), 120.0)
+        alg: engine.processor.run(engine.profile_for(alg, SIZE), 120.0)
         for alg in ALGORITHM_NAMES
     }
     return result, tdp_runs
@@ -70,7 +70,6 @@ class TestPredictedCap:
         ~the tolerance for every algorithm (checked against the real
         sweep, with one 10 W bin of slack)."""
         result, tdp_runs = sweep_and_runs
-        runner = StudyRunner()
         for alg, run in tdp_runs.items():
             cap = predicted_cap(run, tolerance=0.10)
             pts = result.select(algorithm=alg, size=SIZE)

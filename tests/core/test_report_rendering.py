@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.core import (
     StudyConfig,
-    StudyRunner,
     render_slowdown_table,
     render_table1,
 )
@@ -12,9 +12,8 @@ from repro.core import (
 
 @pytest.fixture(scope="module")
 def result():
-    runner = StudyRunner(n_cycles=3)
     cfg = StudyConfig(name="r", algorithms=("contour", "volume"), sizes=(16,))
-    return runner.run_config(cfg)
+    return api.run_study(api.StudyRequest(config=cfg, n_cycles=3))
 
 
 class TestRedMarkers:

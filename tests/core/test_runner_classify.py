@@ -1,12 +1,12 @@
-"""Study runner, classification, advisor, and reports (small sweeps)."""
+"""Study results, classification, advisor, and reports (small sweeps)."""
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import (
     PowerClass,
     StudyConfig,
-    StudyRunner,
     classify,
     classify_result,
     figure2_series,
@@ -22,9 +22,9 @@ from repro.core import (
 @pytest.fixture(scope="module")
 def mini_result():
     """Small but complete sweep: 3 algorithms x 2 sizes x all caps."""
-    runner = StudyRunner(n_cycles=5)
+    engine = api.sweep_engine(n_cycles=5, workers=0)
     cfg = StudyConfig(name="mini", algorithms=("contour", "threshold", "volume"), sizes=(16, 24))
-    return runner.run_config(cfg), runner
+    return engine.run(cfg), engine
 
 
 class TestRunner:
@@ -53,28 +53,23 @@ class TestRunner:
             assert all(b >= a - 1e-9 for a, b in zip(tr, tr[1:]))
 
     def test_profiles_cached(self, mini_result):
-        _, runner = mini_result
-        p1 = runner.profile_for("contour", 16)
-        p2 = runner.profile_for("contour", 16)
-        assert p1 is p2
+        _, engine = mini_result
+        jobs_run = engine.stats.profile_jobs_run
+        p1 = engine.profile_for("contour", 16)
+        p2 = engine.profile_for("contour", 16)
+        assert engine.stats.profile_jobs_run == jobs_run  # both from the ledger cache
+        assert p1.total_instructions == p2.total_instructions
 
     def test_profile_scaled_by_cycles(self):
-        r1 = StudyRunner(n_cycles=1)
-        r5 = StudyRunner(n_cycles=5)
+        r1 = api.sweep_engine(n_cycles=1)
+        r5 = api.sweep_engine(n_cycles=5)
         i1 = r1.profile_for("threshold", 16).total_instructions
         i5 = r5.profile_for("threshold", 16).total_instructions
         assert i5 == pytest.approx(5 * i1, rel=1e-9)
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
-            StudyRunner().profile_for("nope", 16)
-
-    def test_set_dataset_invalidates_cache(self, blobs_ds):
-        runner = StudyRunner(n_cycles=1)
-        p_before = runner.profile_for("threshold", 16)
-        runner.set_dataset(16, blobs_ds)
-        p_after = runner.profile_for("threshold", 16)
-        assert p_before is not p_after
+            api.sweep_engine().profile_for("nope", 16)
 
 
 class TestClassification:

@@ -4,14 +4,15 @@ import json
 
 import pytest
 
-from repro.core import ResultStore, StudyConfig, StudyResult, StudyRunner
+from repro import api
+from repro.core import ResultStore, StudyConfig, StudyResult
 from repro.core.runner import RunPoint
 
 
 @pytest.fixture(scope="module")
 def result() -> StudyResult:
     cfg = StudyConfig(name="t", algorithms=("threshold",), sizes=(12,))
-    return StudyRunner(n_cycles=2).run_config(cfg)
+    return api.run_study(api.StudyRequest(config=cfg, n_cycles=2))
 
 
 class TestRunPointSerialization:

@@ -1,4 +1,4 @@
-"""Tiling primitives: tile sizing, k-slab iteration, shard spans."""
+"""Tiling primitives: tile sizing, k-slab iteration, slab reductions."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.data.tiling import (
     ENV_TILE_CELLS,
     k_slabs,
     pick_tile_planes,
-    shard_spans,
     tile_cells_from_env,
 )
 
@@ -56,20 +55,6 @@ class TestKSlabs:
 
     def test_empty_range(self):
         assert list(k_slabs(4, 4, 8)) == []
-
-
-class TestShardSpans:
-    @pytest.mark.parametrize("nz,n", [(16, 4), (17, 4), (3, 8), (1, 1), (255, 7)])
-    def test_partition(self, nz, n):
-        spans = shard_spans(nz, n)
-        assert len(spans) == n
-        covered = [k for lo, hi in spans for k in range(lo, hi)]
-        assert covered == list(range(nz))  # contiguous, ascending, exact
-
-    def test_near_even(self):
-        spans = shard_spans(17, 4)
-        widths = [hi - lo for lo, hi in spans]
-        assert max(widths) - min(widths) <= 1
 
 
 class TestSlabReductions:

@@ -1,13 +1,11 @@
-"""Experiment harness, ledger cache (JSON + pickle migration), emitters."""
-
-import pickle
+"""Experiment harness, JSON ledger cache, emitters."""
 
 import pytest
 
-from repro.core import StudyConfig, StudyRunner
+from repro import api
+from repro.core import StudyConfig
 from repro.core.profiles import ProfileCache
 from repro.harness import (
-    ExperimentHarness,
     TableHarness,
     effective_sizes,
     result_to_csv,
@@ -19,9 +17,8 @@ from repro.core.report import FigureSeries
 
 @pytest.fixture()
 def small_result():
-    runner = StudyRunner(n_cycles=2)
     cfg = StudyConfig(name="t", algorithms=("threshold",), sizes=(16,))
-    return runner.run_config(cfg)
+    return api.run_study(api.StudyRequest(config=cfg, n_cycles=2))
 
 
 class TestEffectiveSizes:
@@ -81,63 +78,11 @@ class TestHarnessCache:
         res = h.sweep(cfg)
         assert len(res.points) == 9
 
-    def test_pkl_path_redirects_to_json(self, tmp_path):
-        """A legacy .pkl cache path transparently becomes its .json sibling."""
-        h = TableHarness(tmp_path / "counts.pkl", n_cycles=1)
-        h.profile("threshold", 12)
-        assert h.cache_path == tmp_path / "counts.json"
-        assert h.cache_path.exists()
-        assert not (tmp_path / "counts.pkl").exists()
-
-    def test_legacy_pickle_cache_migrates_once(self, tmp_path):
-        # Record a ledger the old way: pickle of {(alg, size): counts}.
-        fresh = TableHarness(None, n_cycles=2)
-        expected = fresh.profile("threshold", 12)
-        raw = fresh.engine.profile_cache.get("threshold", 12)
-        legacy = tmp_path / "counts.pkl"
-        legacy.write_bytes(pickle.dumps({("threshold", 12): raw}))
-
-        h = TableHarness(legacy, n_cycles=2)
-        assert (tmp_path / "counts.json").exists()  # one-time migration
-        migrated = h.profile("threshold", 12)
-        assert migrated.total_instructions == expected.total_instructions
-        # The original pickle is left untouched.
-        assert legacy.exists()
-
     def test_cache_rejects_foreign_json(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"format": "something-else", "entries": {}}')
         with pytest.raises(ValueError, match="not a profile cache"):
             ProfileCache(p)
-
-    def test_corrupt_legacy_pickle_warns_and_moves_aside(self, tmp_path, caplog):
-        import logging
-
-        legacy = tmp_path / "counts.pkl"
-        legacy.write_bytes(b"\x80\x04 definitely not a pickle")
-        with caplog.at_level(logging.WARNING, logger="repro.obs"):
-            cache = ProfileCache(legacy)
-        # Migration failed loudly: a warning fired, the unreadable file
-        # was renamed to its .corrupt sidecar, and the cache starts empty.
-        assert "profile-cache-corrupt" in caplog.text
-        assert not legacy.exists()
-        corrupt = tmp_path / "counts.pkl.corrupt"
-        assert corrupt.exists()
-        assert corrupt.read_bytes().startswith(b"\x80\x04")
-        assert len(cache) == 0
-        # The cache still works: record and reload normally.
-        cache.put("threshold", 12, {"flops": 1.0})
-        assert ProfileCache(tmp_path / "counts.json").get("threshold", 12) == {
-            "flops": 1.0
-        }
-
-
-class TestDeprecatedShim:
-    def test_experiment_harness_warns_but_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            h = ExperimentHarness(tmp_path / "c.json", n_cycles=1)
-        assert isinstance(h, TableHarness)
-        assert h.profile("threshold", 12).total_instructions > 0
 
 
 class TestEmitters:

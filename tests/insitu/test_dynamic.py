@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.cloverleaf import step_profile
-from repro.core import StudyRunner
 from repro.insitu import (
     DynamicPowerRuntime,
     DynamicRunResult,
@@ -18,7 +18,7 @@ from repro.insitu import (
 @pytest.fixture(scope="module")
 def profiles():
     sim = step_profile(64**3, 400)
-    viz = StudyRunner(n_cycles=4).profile_for("contour", 64)
+    viz = api.sweep_engine(n_cycles=4).profile_for("contour", 64)
     return sim, viz
 
 

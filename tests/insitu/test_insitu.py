@@ -71,10 +71,9 @@ class TestBudgetRuntime:
         # Paper-like composition: the simulation dominates; the
         # visualization is ~10-20% of the job.
         sim_profile = step_profile(128**3, 200)
-        from repro.core import StudyRunner
+        from repro import api
 
-        runner = StudyRunner(n_cycles=10)
-        viz_profile = runner.profile_for("contour", 64)
+        viz_profile = api.sweep_engine(n_cycles=10).profile_for("contour", 64)
         return sim_profile, viz_profile
 
     BUDGET = 140.0  # two sockets sharing a 140 W node budget

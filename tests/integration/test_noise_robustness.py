@@ -8,15 +8,16 @@ closed form.
 
 import pytest
 
-from repro.core import StudyRunner, first_slowdown_cap
+from repro import api
+from repro.core import first_slowdown_cap
 from repro.machine import Processor
 
 
 @pytest.fixture(scope="module")
 def profiles():
-    runner = StudyRunner(n_cycles=2)
+    engine = api.sweep_engine(n_cycles=2)
     return {
-        alg: runner.profile_for(alg, 24) for alg in ("contour", "volume")
+        alg: engine.profile_for(alg, 24) for alg in ("contour", "volume")
     }
 
 

@@ -8,10 +8,10 @@ table/figure reproductions live in benchmarks/.
 
 import pytest
 
+from repro import api
 from repro.core import (
     PowerClass,
     StudyConfig,
-    StudyRunner,
     classify_result,
     first_slowdown_cap,
 )
@@ -22,9 +22,8 @@ SIZE = 64
 
 @pytest.fixture(scope="module")
 def full_sweep():
-    runner = StudyRunner()
     cfg = StudyConfig(name="integration", algorithms=ALGORITHM_NAMES, sizes=(SIZE,))
-    return runner.run_config(cfg)
+    return api.run_study(cfg)
 
 
 class TestClassStructure:
@@ -93,8 +92,8 @@ class TestFullPhaseCounts:
     def test_deterministic_rerun(self):
         """Two sweeps from the same seed produce identical metrics."""
         cfg = StudyConfig(name="det", algorithms=("threshold",), sizes=(16,))
-        a = StudyRunner(n_cycles=3, seed=11).run_config(cfg)
-        b = StudyRunner(n_cycles=3, seed=11).run_config(cfg)
+        a = api.run_study(api.StudyRequest(config=cfg, n_cycles=3, seed=11))
+        b = api.run_study(api.StudyRequest(config=cfg, n_cycles=3, seed=11))
         for pa, pb in zip(a.points, b.points):
             assert pa.time_s == pb.time_s
             assert pa.power_w == pb.power_w

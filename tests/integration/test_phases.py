@@ -4,13 +4,14 @@ benchmarks use — including the ledger cache round trip."""
 
 import pytest
 
-from repro.harness import ExperimentHarness, result_to_csv, result_to_markdown
+from repro import api
+from repro.harness import result_to_csv, result_to_markdown
 
 
 @pytest.fixture(scope="module")
 def harness(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("cache") / "counts.pkl"
-    return ExperimentHarness(cache, n_cycles=3)
+    cache = tmp_path_factory.mktemp("cache") / "counts.json"
+    return api.harness(cache, n_cycles=3)
 
 
 @pytest.fixture(autouse=True)
@@ -41,7 +42,7 @@ class TestPhases:
     def test_results_are_cache_stable(self, harness):
         """A second harness over the same cache reproduces the sweep."""
         a = harness.table1()
-        b = ExperimentHarness(harness.cache_path, n_cycles=3).table1()
+        b = api.harness(harness.cache_path, n_cycles=3).table1()
         for pa, pb in zip(a.points, b.points):
             assert pa.time_s == pytest.approx(pb.time_s, rel=1e-12)
             assert pa.power_w == pytest.approx(pb.power_w, rel=1e-12)

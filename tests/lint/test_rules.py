@@ -76,3 +76,10 @@ def test_rule_selection_limits_the_run():
     source = (FIXTURES / "rpr001_bad.py").read_text()
     findings = check_source(source, rules=("RPR003",))
     assert findings == []
+
+
+def test_pickle_ban_exempts_no_module():
+    """RPR003 has no exempt module, repro/core/profiles.py included."""
+    source = "import pickle\n\n\ndef load(raw):\n    return pickle.loads(raw)\n"
+    findings = check_source(source, relpath="repro/core/profiles.py", rules=("RPR003",))
+    assert [(f.code, f.line) for f in findings] == [("RPR003", 5)]

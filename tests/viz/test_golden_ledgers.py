@@ -56,41 +56,6 @@ def test_ledger_bitwise_identical(key):
     }
 
 
-_SHARDED_DATASETS: dict[tuple[int, str, int], object] = {}
-
-
-def _golden_dataset(size: int):
-    key = (size, _LEDGERS["dataset_kind"], _LEDGERS["seed"])
-    if key not in _SHARDED_DATASETS:
-        from repro.data.generators import make_dataset
-
-        _SHARDED_DATASETS[key] = make_dataset(size, kind=key[1], seed=key[2])
-    return _SHARDED_DATASETS[key]
-
-
-@pytest.mark.parametrize("key", sorted(_LEDGERS["entries"]))
-def test_sharded_backend_ledger_equals_serial(key):
-    """backend="sharded" reproduces every golden ledger bitwise.
-
-    Shard-capable kernels fan out over k-spans and merge; the rest run
-    serial under the sharded backend — either way the ledger contract
-    holds for every recorded (algorithm, size) case.
-    """
-    from repro.viz import ALGORITHMS
-
-    algorithm, size = key.split("/")
-    _skip_if_capped(int(size))
-    ds = _golden_dataset(int(size))
-    result = ALGORITHMS[algorithm]().execute(ds, backend="sharded", shards=3)
-    golden = _LEDGERS["entries"][key]
-    fresh = result.counts.as_dict()
-    assert fresh == golden, {
-        k: (golden.get(k), fresh.get(k))
-        for k in sorted(set(fresh) | set(golden))
-        if fresh.get(k) != golden.get(k)
-    }
-
-
 def test_runpoints_identical_through_ledger(processor):
     """Identical ledgers price to identical RunPoints (the full chain)."""
     default_cap, capped = max(POWER_CAPS_W), min(POWER_CAPS_W)
